@@ -311,17 +311,6 @@ func (b *Broker) Stats() Stats {
 	}
 }
 
-// Pending returns the broker-wide count of buffered messages.
-//
-// Deprecated: use Stats().Backlog.
-func (b *Broker) Pending() int { return int(b.Stats().Backlog) }
-
-// ExpiredDropped returns the count of messages dropped because they
-// expired before delivery.
-//
-// Deprecated: use Stats().Expired.
-func (b *Broker) ExpiredDropped() int64 { return b.Stats().Expired }
-
 // CreateConnection implements jms.ConnectionFactory.
 func (b *Broker) CreateConnection() (jms.Connection, error) {
 	b.mu.Lock()

@@ -2,7 +2,7 @@ package experiments
 
 import "testing"
 
-// TestFailoverConformance is the JMSFAILOVER smoke stage: a short
+// TestFailoverConformance is the failover smoke test: a short
 // replicated run with a scripted permanent primary kill must promote at
 // least once, recover deliveries on the victim's queues, and pass every
 // safety property.

@@ -2,7 +2,7 @@ package experiments
 
 import "testing"
 
-// TestQuorumConformance is the JMSQUORUM smoke stage: with R=2, Q=2 the
+// TestQuorumConformance is the quorum smoke test: with R=2, Q=2 the
 // primary's preferred replication link goes dark mid-run and the
 // primary then dies for good — yet every safety property must hold,
 // because the second follower kept acknowledging through the partition

@@ -95,8 +95,8 @@ type Options struct {
 	QuorumSize        int
 	// OpenStore supplies node i's stable store and the committed-record
 	// stream feeding its replication links. Nil means an in-memory
-	// store decorated with store.NewStreamed; a WAL-backed node passes
-	// store.WALOptions.Stream instead.
+	// store publishing to its stream (store.NewStreamed); a WAL-backed
+	// node passes store.WALOptions.Stream instead.
 	OpenStore func(i int) (store.Store, *store.Stream, error)
 	// WrapLink rewrites the dial address of the from→to replication
 	// link, letting experiments interpose a chaos proxy on inter-node

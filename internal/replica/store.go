@@ -12,9 +12,9 @@ import (
 // publishes to the node's committed-record stream), then blocks until
 // the endpoint's follower has acknowledged the stream through that
 // record. The stream sequence to wait for is read *after* the inner
-// call returns — both the WAL group-commit loop and the Streamed
-// decorator publish before releasing the caller, so LastSeq() is
-// guaranteed to cover this mutation.
+// call returns — both the WAL group-commit loop and a streamed Memory
+// (store.NewStreamed) publish before releasing the caller, so LastSeq()
+// is guaranteed to cover this mutation.
 type replicatedStore struct {
 	inner  store.Store
 	stream *store.Stream
@@ -49,53 +49,41 @@ func (r *replicatedStore) snapshotCut() (*store.State, uint64, error) {
 }
 
 func (r *replicatedStore) AddMessage(endpoint string, msg *jms.Message) (store.RecordID, error) {
-	r.cutMu.RLock()
-	id, err := r.inner.AddMessage(endpoint, msg)
-	r.cutMu.RUnlock()
-	if err != nil {
-		return 0, err
-	}
-	return id, r.barrier(endpoint)
+	var id store.RecordID
+	err := r.write(endpoint, func() (err error) {
+		id, err = r.inner.AddMessage(endpoint, msg)
+		return err
+	})
+	return id, err
 }
 
 func (r *replicatedStore) RemoveMessage(endpoint string, id store.RecordID) error {
-	r.cutMu.RLock()
-	err := r.inner.RemoveMessage(endpoint, id)
-	r.cutMu.RUnlock()
-	if err != nil {
-		return err
-	}
-	return r.barrier(endpoint)
+	return r.write(endpoint, func() error { return r.inner.RemoveMessage(endpoint, id) })
 }
 
 func (r *replicatedStore) MarkDelivered(endpoint string, id store.RecordID) error {
+	return r.write(endpoint, func() error { return r.inner.MarkDelivered(endpoint, id) })
+}
+
+func (r *replicatedStore) AddSubscription(sub store.SubscriptionRecord) error {
+	return r.write("sub:"+sub.ClientID+":"+sub.Name, func() error { return r.inner.AddSubscription(sub) })
+}
+
+func (r *replicatedStore) RemoveSubscription(clientID, name string) error {
+	return r.write("sub:"+clientID+":"+name, func() error { return r.inner.RemoveSubscription(clientID, name) })
+}
+
+// write runs one mutation of the inner store under the read side of
+// cutMu, then holds the caller at the replication barrier for the
+// mutation's endpoint.
+func (r *replicatedStore) write(endpoint string, mutate func() error) error {
 	r.cutMu.RLock()
-	err := r.inner.MarkDelivered(endpoint, id)
+	err := mutate()
 	r.cutMu.RUnlock()
 	if err != nil {
 		return err
 	}
 	return r.barrier(endpoint)
-}
-
-func (r *replicatedStore) AddSubscription(sub store.SubscriptionRecord) error {
-	r.cutMu.RLock()
-	err := r.inner.AddSubscription(sub)
-	r.cutMu.RUnlock()
-	if err != nil {
-		return err
-	}
-	return r.barrier("sub:" + sub.ClientID + ":" + sub.Name)
-}
-
-func (r *replicatedStore) RemoveSubscription(clientID, name string) error {
-	r.cutMu.RLock()
-	err := r.inner.RemoveSubscription(clientID, name)
-	r.cutMu.RUnlock()
-	if err != nil {
-		return err
-	}
-	return r.barrier("sub:" + clientID + ":" + name)
 }
 
 func (r *replicatedStore) Snapshot() (*store.State, error) { return r.inner.Snapshot() }

@@ -5,8 +5,6 @@ import (
 	"hash/fnv"
 	"sort"
 	"sync/atomic"
-
-	"jmsharness/internal/jms"
 )
 
 // ShardedWAL is a segmented write-ahead log: N WAL shards, each with its
@@ -36,6 +34,7 @@ import (
 // changes the endpoint striping and would strand records in files the
 // new layout never reads.
 type ShardedWAL struct {
+	ops
 	shards []*WAL
 	stream *Stream
 	seq    atomic.Uint64
@@ -52,6 +51,7 @@ func OpenSharded(path string, n int, opts WALOptions) (*ShardedWAL, error) {
 		return nil, fmt.Errorf("store: sharded WAL needs >= 1 shard, got %d", n)
 	}
 	s := &ShardedWAL{stream: opts.Stream}
+	s.ops = ops{s}
 	for i := 0; i < n; i++ {
 		w, err := openWAL(shardPath(path, i), opts, &s.seq, false)
 		if err != nil {
@@ -88,41 +88,11 @@ func (s *ShardedWAL) shardFor(endpoint string) *WAL {
 	return s.shards[h.Sum32()%uint32(len(s.shards))]
 }
 
-// AddMessage implements Store.
-func (s *ShardedWAL) AddMessage(endpoint string, msg *jms.Message) (RecordID, error) {
-	return s.shardFor(endpoint).AddMessage(endpoint, msg)
-}
-
-// AddMessageStaged implements Staged.
-func (s *ShardedWAL) AddMessageStaged(endpoint string, msg *jms.Message) (RecordID, func() error, error) {
-	return s.shardFor(endpoint).AddMessageStaged(endpoint, msg)
-}
-
-// RemoveMessage implements Store.
-func (s *ShardedWAL) RemoveMessage(endpoint string, id RecordID) error {
-	return s.shardFor(endpoint).RemoveMessage(endpoint, id)
-}
-
-// RemoveMessageStaged implements Staged.
-func (s *ShardedWAL) RemoveMessageStaged(endpoint string, id RecordID) (func() error, error) {
-	return s.shardFor(endpoint).RemoveMessageStaged(endpoint, id)
-}
-
-// MarkDelivered implements Store.
-func (s *ShardedWAL) MarkDelivered(endpoint string, id RecordID) error {
-	return s.shardFor(endpoint).MarkDelivered(endpoint, id)
-}
-
-// AddSubscription implements Store. The record routes by the same
-// endpoint key its messages will use, keeping a durable subscription
-// and its backlog in one shard.
-func (s *ShardedWAL) AddSubscription(sub SubscriptionRecord) error {
-	return s.shardFor("sub:" + sub.ClientID + ":" + sub.Name).AddSubscription(sub)
-}
-
-// RemoveSubscription implements Store.
-func (s *ShardedWAL) RemoveSubscription(clientID, name string) error {
-	return s.shardFor("sub:"+clientID+":"+name).RemoveSubscription(clientID, name)
+// stage implements stager. An op routes by its endpoint, and a
+// subscription op by the same "sub:<clientID>:<name>" key its messages
+// use, keeping a durable subscription and its backlog in one shard.
+func (s *ShardedWAL) stage(op Op) (RecordID, commit, error) {
+	return s.shardFor(op.EndpointOf()).stage(op)
 }
 
 // Snapshot implements Store: the merge of every shard's snapshot.

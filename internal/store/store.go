@@ -11,6 +11,11 @@
 // (internal/broker) records every persistent message and every durable
 // subscription here, and rebuilds its durable state from Snapshot after
 // an injected crash — the paper's §5 future-work feature.
+//
+// Every mutation is an Op, whose encoding is both the WAL record and the
+// replication frame. Each store stages ops through one entry point and
+// changes state only through Applier; Store and Staged are written once
+// over that entry point.
 package store
 
 import (
@@ -108,10 +113,82 @@ type Staged interface {
 // as durable as it ever gets) before staging returns.
 var noWait = func() error { return nil }
 
+// stager is the one mutation entry point of every store in this
+// package. stage applies op (assigning the record ID of an
+// OpAddMessage, which it returns) and orders it for commit; the
+// returned commit's wait blocks until op is durable.
+type stager interface {
+	stage(op Op) (RecordID, commit, error)
+}
+
+// ops writes Store's five mutations and Staged once, over a store's
+// stage. Each store embeds it, set to itself.
+type ops struct{ s stager }
+
+// AddMessage implements Store.
+func (o ops) AddMessage(endpoint string, msg *jms.Message) (RecordID, error) {
+	id, c, err := o.s.stage(Op{Kind: OpAddMessage, Endpoint: endpoint, Msg: msg})
+	if err == nil {
+		err = c.wait()
+	}
+	if err != nil {
+		return 0, err
+	}
+	return id, nil
+}
+
+// AddMessageStaged implements Staged.
+func (o ops) AddMessageStaged(endpoint string, msg *jms.Message) (RecordID, func() error, error) {
+	id, c, err := o.s.stage(Op{Kind: OpAddMessage, Endpoint: endpoint, Msg: msg})
+	if err != nil {
+		return 0, nil, err
+	}
+	return id, c.waitFunc(), nil
+}
+
+// RemoveMessage implements Store.
+func (o ops) RemoveMessage(endpoint string, id RecordID) error {
+	return o.do(Op{Kind: OpRemoveMessage, ID: id, Endpoint: endpoint})
+}
+
+// RemoveMessageStaged implements Staged.
+func (o ops) RemoveMessageStaged(endpoint string, id RecordID) (func() error, error) {
+	_, c, err := o.s.stage(Op{Kind: OpRemoveMessage, ID: id, Endpoint: endpoint})
+	if err != nil {
+		return nil, err
+	}
+	return c.waitFunc(), nil
+}
+
+// MarkDelivered implements Store.
+func (o ops) MarkDelivered(endpoint string, id RecordID) error {
+	return o.do(Op{Kind: OpMarkDelivered, ID: id, Endpoint: endpoint})
+}
+
+// AddSubscription implements Store.
+func (o ops) AddSubscription(sub SubscriptionRecord) error {
+	return o.do(Op{Kind: OpAddSubscription, Sub: sub})
+}
+
+// RemoveSubscription implements Store.
+func (o ops) RemoveSubscription(clientID, name string) error {
+	return o.do(Op{Kind: OpRemoveSubscription, ClientID: clientID, Name: name})
+}
+
+// do stages op and waits for it: the blocking form of every mutation.
+func (o ops) do(op Op) error {
+	_, c, err := o.s.stage(op)
+	if err != nil {
+		return err
+	}
+	return c.wait()
+}
+
 // Memory is an in-memory Store. It models the stable storage of a
 // simulated provider: a broker crash discards the broker, not its
 // Memory store, so recovery semantics can be tested without disk I/O.
 type Memory struct {
+	ops
 	mu     sync.Mutex
 	nextID RecordID
 	msgs   map[string]map[RecordID]*jms.Message
@@ -119,16 +196,41 @@ type Memory struct {
 	order  map[string][]RecordID
 	subs   map[string]SubscriptionRecord
 	closed bool
+	// app stages the store's own ops, whose IDs are already this
+	// store's record IDs.
+	app Applier
+	// stream, when set by NewStreamed, receives every mutation before
+	// the call that made it returns.
+	stream *Stream
 }
 
 // NewMemory returns an empty in-memory store.
 func NewMemory() *Memory {
-	return &Memory{
+	m := &Memory{
 		msgs:  map[string]map[RecordID]*jms.Message{},
 		deliv: map[string]map[RecordID]bool{},
 		order: map[string][]RecordID{},
 		subs:  map[string]SubscriptionRecord{},
 	}
+	m.ops = ops{m}
+	m.app = Applier{Dst: m, own: true}
+	return m
+}
+
+// NewStreamed attaches s to m, so every mutation of m is also published
+// to s, giving Memory-backed nodes the same replication feed the WAL
+// produces from its group-commit loop (WALOptions.Stream). A Memory
+// commits as it applies, so — like the WAL path — a streamed record is
+// always durable at the source. Causally related records (an
+// acknowledge can only follow the send that produced its ID) publish in
+// causal order because each op publishes before its call returns, the
+// staged ones included: once staging returns, the broker may hand the
+// message to a consumer whose acknowledge publishes a RemoveMessage op,
+// and a follower must never see that remove before its add. Closing m
+// closes s. Call it before m is shared.
+func NewStreamed(m *Memory, s *Stream) *Memory {
+	m.stream = s
+	return m
 }
 
 var (
@@ -136,110 +238,23 @@ var (
 	_ Staged = (*Memory)(nil)
 )
 
-// AddMessageStaged implements Staged. A Memory store has no commit
-// latency, so staging is the whole operation.
-func (m *Memory) AddMessageStaged(endpoint string, msg *jms.Message) (RecordID, func() error, error) {
-	id, err := m.AddMessage(endpoint, msg)
-	if err != nil {
-		return 0, nil, err
+// stage implements stager. A Memory has no commit latency, so its
+// commit is always the already-durable zero commit.
+func (m *Memory) stage(op Op) (RecordID, commit, error) {
+	id, changed, err := m.app.apply(op)
+	if err != nil || !changed || m.stream == nil {
+		return id, commit{}, err
 	}
-	return id, noWait, nil
-}
-
-// RemoveMessageStaged implements Staged. A Memory store has no commit
-// latency, so staging is the whole operation.
-func (m *Memory) RemoveMessageStaged(endpoint string, id RecordID) (func() error, error) {
-	if err := m.RemoveMessage(endpoint, id); err != nil {
-		return nil, err
+	if op.Kind == OpAddMessage {
+		op.ID = id
 	}
-	return noWait, nil
-}
-
-// AddMessage implements Store.
-func (m *Memory) AddMessage(endpoint string, msg *jms.Message) (RecordID, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return 0, fmt.Errorf("store: %w", jms.ErrClosed)
-	}
-	m.nextID++
-	id := m.nextID
-	if m.msgs[endpoint] == nil {
-		m.msgs[endpoint] = map[RecordID]*jms.Message{}
-	}
-	m.msgs[endpoint][id] = msg.Clone()
-	m.order[endpoint] = append(m.order[endpoint], id)
-	return id, nil
-}
-
-// RemoveMessage implements Store.
-func (m *Memory) RemoveMessage(endpoint string, id RecordID) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return fmt.Errorf("store: %w", jms.ErrClosed)
-	}
-	eps, ok := m.msgs[endpoint]
-	if !ok {
-		return fmt.Errorf("store: remove from unknown endpoint %q", endpoint)
-	}
-	if _, ok := eps[id]; !ok {
-		return fmt.Errorf("store: remove unknown record %d on %q", id, endpoint)
-	}
-	delete(eps, id)
-	if d, ok := m.deliv[endpoint]; ok {
-		delete(d, id)
-	}
-	return nil
-}
-
-// MarkDelivered implements Store.
-func (m *Memory) MarkDelivered(endpoint string, id RecordID) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return fmt.Errorf("store: %w", jms.ErrClosed)
-	}
-	if _, ok := m.msgs[endpoint][id]; !ok {
-		return nil // acknowledged concurrently; nothing to mark
-	}
-	if m.deliv[endpoint] == nil {
-		m.deliv[endpoint] = map[RecordID]bool{}
-	}
-	m.deliv[endpoint][id] = true
-	return nil
-}
-
-// AddSubscription implements Store.
-func (m *Memory) AddSubscription(sub SubscriptionRecord) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return fmt.Errorf("store: %w", jms.ErrClosed)
-	}
-	m.subs[sub.Key()] = sub
-	return nil
-}
-
-// RemoveSubscription implements Store.
-func (m *Memory) RemoveSubscription(clientID, name string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return fmt.Errorf("store: %w", jms.ErrClosed)
-	}
-	key := clientID + ":" + name
-	sub, ok := m.subs[key]
-	if !ok {
-		return fmt.Errorf("store: %w: %s", jms.ErrUnknownSubscription, key)
-	}
-	delete(m.subs, key)
-	// Drop pending messages for the subscription's endpoint.
-	endpoint := "sub:" + sub.ClientID + ":" + sub.Name
-	delete(m.msgs, endpoint)
-	delete(m.deliv, endpoint)
-	delete(m.order, endpoint)
-	return nil
+	buf := encPool.Get().(*[]byte)
+	e := jms.NewEncoder(*buf)
+	AppendOp(e, op)
+	m.stream.Publish(e.Bytes()) // copies the payload
+	*buf = e.Bytes()
+	putEnc(buf)
+	return id, commit{}, nil
 }
 
 // Snapshot implements Store.
@@ -274,7 +289,126 @@ func (m *Memory) Snapshot() (*State, error) {
 // Close implements Store.
 func (m *Memory) Close() error {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.closed = true
+	m.mu.Unlock()
+	if m.stream != nil {
+		m.stream.Close()
+	}
 	return nil
 }
+
+// Applier replays a stream of ops against Dst, translating the source
+// store's record IDs into Dst's. It is the id-mapping core shared by
+// WAL replay, live WAL mutations and replication followers, and — with
+// translation off — the way a Memory applies its own ops. Not safe for
+// concurrent use, except a Memory's own Applier, which keeps no state
+// outside Dst's lock.
+type Applier struct {
+	Dst *Memory
+	ids map[string]map[RecordID]RecordID
+	// own marks op IDs as Dst's own record IDs: nothing is translated
+	// and ids stays nil.
+	own bool
+}
+
+// Apply applies one op. Mark-delivered of an unknown record is a no-op
+// (it may race an acknowledge, exactly as in Store.MarkDelivered);
+// removing an unknown record is an error.
+func (a *Applier) Apply(op Op) error {
+	_, _, err := a.apply(op)
+	return err
+}
+
+// apply is the one place any store in this package changes state. It
+// returns Dst's ID for the op's record and whether the op changed Dst:
+// a no-op mark did not, so it needs no log record and no publication.
+func (a *Applier) apply(op Op) (RecordID, bool, error) {
+	m := a.Dst
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
+		return 0, false, fmt.Errorf("store: %w", jms.ErrClosed)
+	}
+	ep := op.Endpoint
+	switch op.Kind {
+	case OpAddMessage:
+		m.nextID++
+		if m.msgs[ep] == nil {
+			m.msgs[ep] = map[RecordID]*jms.Message{}
+		}
+		m.msgs[ep][m.nextID] = op.Msg.Clone()
+		m.order[ep] = append(m.order[ep], m.nextID)
+		if !a.own {
+			a.Map(ep, op.ID, m.nextID)
+		}
+		return m.nextID, true, nil
+	case OpRemoveMessage:
+		id, ok := a.dstID(ep, op.ID)
+		if _, live := m.msgs[ep][id]; !ok || !live {
+			return 0, false, fmt.Errorf("store: remove unknown record %d on %q", op.ID, ep)
+		}
+		delete(m.msgs[ep], id)
+		delete(m.deliv[ep], id)
+		delete(a.ids[ep], op.ID)
+		return id, true, nil
+	case OpMarkDelivered:
+		id, ok := a.dstID(ep, op.ID)
+		if _, live := m.msgs[ep][id]; !ok || !live {
+			return 0, false, nil // acknowledged concurrently; nothing to mark
+		}
+		if m.deliv[ep] == nil {
+			m.deliv[ep] = map[RecordID]bool{}
+		}
+		m.deliv[ep][id] = true
+		return id, true, nil
+	case OpAddSubscription:
+		m.subs[op.Sub.Key()] = op.Sub
+	case OpRemoveSubscription:
+		key := op.ClientID + ":" + op.Name
+		if _, ok := m.subs[key]; !ok {
+			return 0, false, fmt.Errorf("store: %w: %s", jms.ErrUnknownSubscription, key)
+		}
+		delete(m.subs, key)
+		// Drop pending messages for the subscription's endpoint.
+		ep = op.EndpointOf()
+		delete(m.msgs, ep)
+		delete(m.deliv, ep)
+		delete(m.order, ep)
+		delete(a.ids, ep)
+	default:
+		return 0, false, fmt.Errorf("store: unknown op kind %d", op.Kind)
+	}
+	return 0, true, nil
+}
+
+// dstID translates a source ID; an own Applier's IDs need none.
+func (a *Applier) dstID(endpoint string, src RecordID) (RecordID, bool) {
+	if a.own {
+		return src, true
+	}
+	return a.Lookup(endpoint, src)
+}
+
+// Map records a source→destination ID translation.
+func (a *Applier) Map(endpoint string, src, dst RecordID) {
+	if a.ids == nil {
+		a.ids = map[string]map[RecordID]RecordID{}
+	}
+	if a.ids[endpoint] == nil {
+		a.ids[endpoint] = map[RecordID]RecordID{}
+	}
+	a.ids[endpoint][src] = dst
+}
+
+// Lookup translates a source ID.
+func (a *Applier) Lookup(endpoint string, src RecordID) (RecordID, bool) {
+	m, ok := a.ids[endpoint]
+	if !ok {
+		return 0, false
+	}
+	id, ok := m[src]
+	return id, ok
+}
+
+// Reset drops every translation, for a full resync.
+func (a *Applier) Reset() { a.ids = nil }

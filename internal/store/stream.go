@@ -10,10 +10,11 @@ import (
 
 // This file is the store half of destination replication: a committed
 // mutation stream a follower can subscribe to, plus the shared record
-// codec and an Applier that replays records against any Store. The WAL
-// publishes into a Stream from its group-commit loop (so a record is
-// only ever streamed after it is durable), and Streamed decorates the
-// in-memory store with the same contract.
+// codec (Op), which is both the WAL record and the replication frame.
+// The WAL publishes into a Stream from its group-commit loop (so a
+// record is only ever streamed after it is durable), and a Memory built
+// by NewStreamed publishes each op before its call returns, with the
+// same contract.
 
 // OpKind tags one durable mutation. The values double as the WAL's
 // on-disk record type bytes, so a WAL payload and a replication-stream
@@ -110,79 +111,6 @@ func (op Op) EndpointOf() string {
 	}
 	return ""
 }
-
-// Applier replays a stream of ops against Dst, translating the source
-// store's record IDs into Dst's. It is the id-mapping core shared by
-// WAL replay and replication followers. Not safe for concurrent use.
-type Applier struct {
-	Dst Store
-	ids map[string]map[RecordID]RecordID
-}
-
-// Apply applies one op. Mark-delivered of an unknown record is a no-op
-// (it may race an acknowledge, exactly as in Store.MarkDelivered);
-// removing an unknown record is an error.
-func (a *Applier) Apply(op Op) error {
-	switch op.Kind {
-	case OpAddMessage:
-		dstID, err := a.Dst.AddMessage(op.Endpoint, op.Msg)
-		if err != nil {
-			return err
-		}
-		a.Map(op.Endpoint, op.ID, dstID)
-	case OpRemoveMessage:
-		dstID, ok := a.Lookup(op.Endpoint, op.ID)
-		if !ok {
-			return fmt.Errorf("store: remove of unknown record %d on %q", op.ID, op.Endpoint)
-		}
-		if err := a.Dst.RemoveMessage(op.Endpoint, dstID); err != nil {
-			return err
-		}
-		delete(a.ids[op.Endpoint], op.ID)
-	case OpMarkDelivered:
-		if dstID, ok := a.Lookup(op.Endpoint, op.ID); ok {
-			if err := a.Dst.MarkDelivered(op.Endpoint, dstID); err != nil {
-				return err
-			}
-		}
-	case OpAddSubscription:
-		if err := a.Dst.AddSubscription(op.Sub); err != nil {
-			return err
-		}
-	case OpRemoveSubscription:
-		if err := a.Dst.RemoveSubscription(op.ClientID, op.Name); err != nil {
-			return err
-		}
-		delete(a.ids, "sub:"+op.ClientID+":"+op.Name)
-	default:
-		return fmt.Errorf("store: unknown op kind %d", op.Kind)
-	}
-	return nil
-}
-
-// Map records a source→destination ID translation.
-func (a *Applier) Map(endpoint string, src, dst RecordID) {
-	if a.ids == nil {
-		a.ids = map[string]map[RecordID]RecordID{}
-	}
-	if a.ids[endpoint] == nil {
-		a.ids[endpoint] = map[RecordID]RecordID{}
-	}
-	a.ids[endpoint][src] = dst
-}
-
-// Lookup translates a source ID.
-func (a *Applier) Lookup(endpoint string, src RecordID) (RecordID, bool) {
-	m, ok := a.ids[endpoint]
-	if !ok {
-		return 0, false
-	}
-	id, ok := m[src]
-	return id, ok
-}
-
-// Reset drops every translation, for a full resync.
-func (a *Applier) Reset() { a.ids = nil }
 
 // ErrStreamTrimmed reports that a subscriber's position was trimmed out
 // of the stream's retained window; the subscriber must full-resync.
@@ -378,136 +306,4 @@ func (sub *StreamSub) Close() {
 	sub.s.mu.Lock()
 	delete(sub.s.subs, sub)
 	sub.s.mu.Unlock()
-}
-
-// Streamed decorates a Store so every committed mutation is also
-// published to a Stream, giving Memory-backed nodes the same
-// replication feed the WAL produces from its group-commit loop. The
-// publish happens after the inner call succeeds, so — like the WAL
-// path — a streamed record is always durable at the source. Causally
-// related records (an acknowledge can only follow the send that
-// produced its ID) publish in causal order because each op publishes
-// before its call returns.
-type Streamed struct {
-	inner Store
-	s     *Stream
-}
-
-// NewStreamed wraps inner, publishing committed ops to s.
-func NewStreamed(inner Store, s *Stream) *Streamed {
-	return &Streamed{inner: inner, s: s}
-}
-
-var (
-	_ Store  = (*Streamed)(nil)
-	_ Staged = (*Streamed)(nil)
-)
-
-// Stream returns the stream mutations are published to.
-func (t *Streamed) Stream() *Stream { return t.s }
-
-func (t *Streamed) publish(op Op) {
-	e := jms.NewEncoder(nil)
-	AppendOp(e, op)
-	t.s.Publish(e.Bytes())
-}
-
-// AddMessage implements Store.
-func (t *Streamed) AddMessage(endpoint string, msg *jms.Message) (RecordID, error) {
-	id, err := t.inner.AddMessage(endpoint, msg)
-	if err != nil {
-		return 0, err
-	}
-	t.publish(Op{Kind: OpAddMessage, ID: id, Endpoint: endpoint, Msg: msg})
-	return id, nil
-}
-
-// AddMessageStaged implements Staged. The publish happens at staging
-// time, not inside the wait closure: once staging returns, the broker
-// may hand the message to a consumer whose acknowledge publishes a
-// RemoveMessage op inline, and a follower must never see that remove
-// before its add. Inner stores here are Memory-backed (WAL nodes
-// publish from their own group-commit loop), so staging and durability
-// coincide and the early publish keeps the decorator's contract.
-func (t *Streamed) AddMessageStaged(endpoint string, msg *jms.Message) (RecordID, func() error, error) {
-	st, ok := t.inner.(Staged)
-	if !ok {
-		id, err := t.AddMessage(endpoint, msg)
-		if err != nil {
-			return 0, nil, err
-		}
-		return id, noWait, nil
-	}
-	id, wait, err := st.AddMessageStaged(endpoint, msg)
-	if err != nil {
-		return 0, nil, err
-	}
-	t.publish(Op{Kind: OpAddMessage, ID: id, Endpoint: endpoint, Msg: msg})
-	return id, wait, nil
-}
-
-// RemoveMessage implements Store.
-func (t *Streamed) RemoveMessage(endpoint string, id RecordID) error {
-	if err := t.inner.RemoveMessage(endpoint, id); err != nil {
-		return err
-	}
-	t.publish(Op{Kind: OpRemoveMessage, ID: id, Endpoint: endpoint})
-	return nil
-}
-
-// RemoveMessageStaged implements Staged. Like AddMessageStaged, the
-// publish happens at staging time: the matching add was published at
-// its own staging, so stream order still shows the add before the
-// remove, and a later op on the same endpoint cannot overtake the
-// remove on the stream.
-func (t *Streamed) RemoveMessageStaged(endpoint string, id RecordID) (func() error, error) {
-	st, ok := t.inner.(Staged)
-	if !ok {
-		if err := t.RemoveMessage(endpoint, id); err != nil {
-			return nil, err
-		}
-		return noWait, nil
-	}
-	wait, err := st.RemoveMessageStaged(endpoint, id)
-	if err != nil {
-		return nil, err
-	}
-	t.publish(Op{Kind: OpRemoveMessage, ID: id, Endpoint: endpoint})
-	return wait, nil
-}
-
-// MarkDelivered implements Store.
-func (t *Streamed) MarkDelivered(endpoint string, id RecordID) error {
-	if err := t.inner.MarkDelivered(endpoint, id); err != nil {
-		return err
-	}
-	t.publish(Op{Kind: OpMarkDelivered, ID: id, Endpoint: endpoint})
-	return nil
-}
-
-// AddSubscription implements Store.
-func (t *Streamed) AddSubscription(sub SubscriptionRecord) error {
-	if err := t.inner.AddSubscription(sub); err != nil {
-		return err
-	}
-	t.publish(Op{Kind: OpAddSubscription, Sub: sub})
-	return nil
-}
-
-// RemoveSubscription implements Store.
-func (t *Streamed) RemoveSubscription(clientID, name string) error {
-	if err := t.inner.RemoveSubscription(clientID, name); err != nil {
-		return err
-	}
-	t.publish(Op{Kind: OpRemoveSubscription, ClientID: clientID, Name: name})
-	return nil
-}
-
-// Snapshot implements Store.
-func (t *Streamed) Snapshot() (*State, error) { return t.inner.Snapshot() }
-
-// Close implements Store.
-func (t *Streamed) Close() error {
-	t.s.Close()
-	return t.inner.Close()
 }

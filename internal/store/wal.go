@@ -33,6 +33,7 @@ import (
 // Payload: 1 type byte followed by type-specific fields in the shared
 // binary encoding (jms.Encoder).
 type WAL struct {
+	ops
 	path string
 	sync bool
 
@@ -165,6 +166,7 @@ func openWAL(path string, opts WALOptions, sharedID *atomic.Uint64, ownsStream b
 			records:    reg.Counter("wal.records"),
 		},
 	}
+	w.ops = ops{w}
 	w.app.Dst = w.mirror
 	if err := w.replay(); err != nil {
 		_ = f.Close()
@@ -174,7 +176,10 @@ func openWAL(path string, opts WALOptions, sharedID *atomic.Uint64, ownsStream b
 	return w, nil
 }
 
-var _ Store = (*WAL)(nil)
+var (
+	_ Store  = (*WAL)(nil)
+	_ Staged = (*WAL)(nil)
+)
 
 // replay scans the log, applying records to the mirror. A torn final
 // record (short read or bad checksum at the tail) truncates the log to
@@ -416,189 +421,80 @@ func putEnc(buf *[]byte) {
 	}
 }
 
-// AddMessage implements Store.
-func (w *WAL) AddMessage(endpoint string, msg *jms.Message) (RecordID, error) {
-	id, wait, err := w.AddMessageStaged(endpoint, msg)
-	if err != nil {
-		return 0, err
-	}
-	if err := wait(); err != nil {
-		return 0, err
-	}
-	return id, nil
+// commit is a staged op's durability handle. The zero commit is
+// already durable: a store without commit latency returns it.
+type commit struct {
+	done chan error // fires once the op's group commit is on disk
+	buf  *[]byte    // the op's pooled payload buffer, recycled once durable
+	// timer, when set, observes how long the wait blocked: for an
+	// added message that is the "WAL-commit wait" hop of its
+	// distributed trace.
+	timer *obs.Histogram
 }
 
-// AddMessageStaged implements Staged: the record is applied to the
-// mirror and enqueued for group commit, but the call returns before it
-// is durable. The returned wait closure blocks until the record's batch
-// is on disk (call it exactly once). Staging under w.mu keeps log order
-// equal to mirror order exactly as the blocking path does; only the
-// durability wait moves out, which is what lets a pipelined producer
-// keep many appends in flight inside one fsync domain.
-func (w *WAL) AddMessageStaged(endpoint string, msg *jms.Message) (RecordID, func() error, error) {
+// wait blocks until the op is durable and returns its commit error.
+// Call it exactly once.
+func (c commit) wait() error {
+	if c.done == nil {
+		return nil
+	}
+	var start time.Time
+	if c.timer != nil {
+		start = time.Now()
+	}
+	err := <-c.done
+	if c.timer != nil {
+		c.timer.ObserveDuration(time.Since(start))
+	}
+	putEnc(c.buf)
+	return err
+}
+
+// waitFunc returns wait as the closure Staged hands out.
+func (c commit) waitFunc() func() error {
+	if c.done == nil {
+		return noWait
+	}
+	return c.wait
+}
+
+// stage implements stager: the op is applied to the mirror and
+// enqueued for group commit under w.mu, which keeps log order equal to
+// mirror order, and the returned commit waits for its batch to be on
+// disk. Only the durability wait is left to the caller, which is what
+// lets a pipelined producer keep many appends in flight inside one
+// fsync domain and a session fold N acknowledgements into one group
+// commit. A mark of an unknown record changes nothing and writes no
+// record.
+func (w *WAL) stage(op Op) (RecordID, commit, error) {
 	buf := encPool.Get().(*[]byte)
 	w.mu.Lock()
 	if err := w.checkOpenLocked(); err != nil {
 		w.mu.Unlock()
 		putEnc(buf)
-		return 0, nil, err
+		return 0, commit{}, err
 	}
-	id := w.nextRecordID()
-	e := jms.NewEncoder(*buf)
-	AppendOp(e, Op{Kind: OpAddMessage, ID: id, Endpoint: endpoint, Msg: msg})
-	mirrorID, err := w.mirror.AddMessage(endpoint, msg)
-	if err != nil {
-		if w.sharedID == nil {
+	if op.Kind == OpAddMessage {
+		op.ID = w.nextRecordID()
+	}
+	_, changed, err := w.app.apply(op)
+	if err != nil || !changed {
+		if err != nil && op.Kind == OpAddMessage && w.sharedID == nil {
 			w.nextID--
 		}
 		w.mu.Unlock()
 		putEnc(buf)
-		return 0, nil, err
-	}
-	w.app.Map(endpoint, id, mirrorID)
-	done := w.commitLocked(e.Bytes())
-	w.mu.Unlock()
-	enc := e.Bytes()
-	wait := func() error {
-		// The wait below is the "WAL-commit wait" hop of a message's
-		// distributed trace: how long the producer's send blocked on the
-		// group committer making the record durable.
-		waitStart := time.Now()
-		err := <-done
-		w.met.commitWait.ObserveDuration(time.Since(waitStart))
-		*buf = enc
-		putEnc(buf)
-		return err
-	}
-	return id, wait, nil
-}
-
-// RemoveMessage implements Store.
-func (w *WAL) RemoveMessage(endpoint string, id RecordID) error {
-	wait, err := w.RemoveMessageStaged(endpoint, id)
-	if err != nil {
-		return err
-	}
-	return wait()
-}
-
-// RemoveMessageStaged implements Staged: the remove is applied to the
-// mirror and enqueued for group commit, but the call returns before it
-// is durable. The returned wait closure blocks until the remove's
-// batch is on disk (call it exactly once). A session acknowledging N
-// messages stages them all and then waits, folding N fsync waits into
-// one group commit.
-func (w *WAL) RemoveMessageStaged(endpoint string, id RecordID) (func() error, error) {
-	buf := encPool.Get().(*[]byte)
-	w.mu.Lock()
-	if err := w.checkOpenLocked(); err != nil {
-		w.mu.Unlock()
-		putEnc(buf)
-		return nil, err
-	}
-	mirrorID, ok := w.app.Lookup(endpoint, id)
-	if !ok {
-		w.mu.Unlock()
-		putEnc(buf)
-		return nil, fmt.Errorf("store: remove unknown record %d on %q", id, endpoint)
-	}
-	if err := w.mirror.RemoveMessage(endpoint, mirrorID); err != nil {
-		w.mu.Unlock()
-		putEnc(buf)
-		return nil, err
-	}
-	delete(w.app.ids[endpoint], id)
-	e := jms.NewEncoder(*buf)
-	AppendOp(e, Op{Kind: OpRemoveMessage, ID: id, Endpoint: endpoint})
-	done := w.commitLocked(e.Bytes())
-	w.mu.Unlock()
-	enc := e.Bytes()
-	wait := func() error {
-		err := <-done
-		*buf = enc
-		putEnc(buf)
-		return err
-	}
-	return wait, nil
-}
-
-// MarkDelivered implements Store.
-func (w *WAL) MarkDelivered(endpoint string, id RecordID) error {
-	buf := encPool.Get().(*[]byte)
-	w.mu.Lock()
-	if err := w.checkOpenLocked(); err != nil {
-		w.mu.Unlock()
-		putEnc(buf)
-		return err
-	}
-	mirrorID, ok := w.app.Lookup(endpoint, id)
-	if !ok {
-		w.mu.Unlock()
-		putEnc(buf)
-		return nil // acknowledged concurrently; nothing to mark
-	}
-	if err := w.mirror.MarkDelivered(endpoint, mirrorID); err != nil {
-		w.mu.Unlock()
-		putEnc(buf)
-		return err
+		return 0, commit{}, err
 	}
 	e := jms.NewEncoder(*buf)
-	AppendOp(e, Op{Kind: OpMarkDelivered, ID: id, Endpoint: endpoint})
-	done := w.commitLocked(e.Bytes())
-	w.mu.Unlock()
-	err := <-done
+	AppendOp(e, op)
 	*buf = e.Bytes()
-	putEnc(buf)
-	return err
-}
-
-// AddSubscription implements Store.
-func (w *WAL) AddSubscription(sub SubscriptionRecord) error {
-	buf := encPool.Get().(*[]byte)
-	w.mu.Lock()
-	if err := w.checkOpenLocked(); err != nil {
-		w.mu.Unlock()
-		putEnc(buf)
-		return err
-	}
-	if err := w.mirror.AddSubscription(sub); err != nil {
-		w.mu.Unlock()
-		putEnc(buf)
-		return err
-	}
-	e := jms.NewEncoder(*buf)
-	AppendOp(e, Op{Kind: OpAddSubscription, Sub: sub})
-	done := w.commitLocked(e.Bytes())
+	c := commit{done: w.commitLocked(*buf), buf: buf}
 	w.mu.Unlock()
-	err := <-done
-	*buf = e.Bytes()
-	putEnc(buf)
-	return err
-}
-
-// RemoveSubscription implements Store.
-func (w *WAL) RemoveSubscription(clientID, name string) error {
-	buf := encPool.Get().(*[]byte)
-	w.mu.Lock()
-	if err := w.checkOpenLocked(); err != nil {
-		w.mu.Unlock()
-		putEnc(buf)
-		return err
+	if op.Kind == OpAddMessage {
+		c.timer = w.met.commitWait
 	}
-	if err := w.mirror.RemoveSubscription(clientID, name); err != nil {
-		w.mu.Unlock()
-		putEnc(buf)
-		return err
-	}
-	delete(w.app.ids, "sub:"+clientID+":"+name)
-	e := jms.NewEncoder(*buf)
-	AppendOp(e, Op{Kind: OpRemoveSubscription, ClientID: clientID, Name: name})
-	done := w.commitLocked(e.Bytes())
-	w.mu.Unlock()
-	err := <-done
-	*buf = e.Bytes()
-	putEnc(buf)
-	return err
+	return op.ID, c, nil
 }
 
 // Snapshot implements Store. The snapshot's record IDs are WAL record

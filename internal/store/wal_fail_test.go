@@ -15,7 +15,7 @@ import (
 // what file state) commits run.
 func newTestWAL(path string, f *os.File) *WAL {
 	reg := obs.NewRegistry()
-	return &WAL{
+	w := &WAL{
 		path:          path,
 		sync:          true,
 		f:             f,
@@ -28,6 +28,9 @@ func newTestWAL(path string, f *os.File) *WAL {
 			records: reg.Counter("wal.records"),
 		},
 	}
+	w.ops = ops{w}
+	w.app.Dst = w.mirror
+	return w
 }
 
 // encAdd encodes one add-message payload, as the mutators do.

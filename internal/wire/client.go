@@ -723,6 +723,9 @@ type clientSession struct {
 	transacted bool
 	ackMode    jms.AckMode
 	id         atomic.Uint64
+	// epoch counts re-establishments; a frame builder that loads id
+	// loads epoch with it to learn which incarnation it addressed.
+	epoch atomic.Uint64
 
 	mu        sync.Mutex
 	closed    bool
@@ -784,6 +787,7 @@ func (s *clientSession) reestablish(raw func(byte, func(*jms.Encoder)) (reply, e
 		return fmt.Errorf("wire: decoding session reply: %w", err)
 	}
 	s.id.Store(id)
+	s.epoch.Add(1)
 	for _, cc := range consumers {
 		if err := cc.reestablish(raw); err != nil {
 			return err
@@ -974,12 +978,28 @@ func (s *clientSession) Commit() error {
 		s.mu.Unlock()
 		return ErrTxInterrupted
 	}
+	epoch := s.epoch.Load()
 	s.mu.Unlock()
-	err := s.conn.callOK(opCommit, func(e *jms.Encoder) { e.Uvarint(s.id.Load()) }, false)
+	var sent uint64
+	err := s.conn.callOK(opCommit, func(e *jms.Encoder) {
+		sent = s.epoch.Load()
+		e.Uvarint(s.id.Load())
+	}, false)
 	if err == nil {
 		s.mu.Lock()
 		s.txDirty = false
+		// A reconnection that finished while the commit waited for a
+		// transport poisoned the transaction after the check above: the
+		// commit then went to the fresh, empty server-side session, and
+		// the staged work is gone.
+		broken := sent != epoch && s.txBroken
+		if broken {
+			s.txBroken = false
+		}
 		s.mu.Unlock()
+		if broken {
+			return ErrTxInterrupted
+		}
 		return nil
 	}
 	// A commit that dies with its transport is never retried (a retry
